@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fleet bench-guard benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt
+.PHONY: all build vet test race e2ebench-test bench bench-fleet bench-guard benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt
 
 all: check
 
@@ -19,6 +19,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (e2ebench/) is a module of its own, so the
+# root `go test ./...` never builds it; vet and test it here so an API
+# change breaks in CI rather than at benchmark time.
+e2ebench-test:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 # Solver-path benchmarks (roofline search/evaluator + control-plane
 # serve path), written to BENCH_solver.json so CI tracks the perf

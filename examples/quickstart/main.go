@@ -51,12 +51,13 @@ func main() {
 	// both for raw throughput and under a fairness objective (the
 	// throughput optimum may starve the memory-bound app entirely).
 	rapps := []roofline.App{apps[0].App(), apps[1].App()}
-	counts, _, best, err := roofline.BestPerNodeCounts(m, rapps, nil)
+	var search roofline.Search
+	counts, _, best, err := search.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, rapps, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("optimizer (total GFLOPS):  counts %v -> %.1f GFLOPS total\n", counts, best.TotalGFLOPS)
-	fcounts, _, fair, err := roofline.BestPerNodeCounts(m, rapps, roofline.MinAppGFLOPS)
+	fcounts, _, fair, err := search.BestPerNodeCountsFloorSpec(roofline.ObjMaxMinGFLOPS, nil, m, rapps, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -339,7 +339,8 @@ func TestRooflineOptimalMatchesTableI(t *testing.T) {
 	// optimum from the roofline package (1,1,1,5 shape).
 	m := machine.PaperModel()
 	apps := []roofline.App{{AI: 0.5}, {AI: 0.5}, {AI: 0.5}, {AI: 10}}
-	counts, _, res, err := roofline.BestPerNodeCounts(m, apps, nil)
+	var s roofline.Search
+	counts, _, res, err := s.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,8 @@ type AppSpec struct {
 type RooflineOptimal struct {
 	// Specs describe the clients, in agent client order.
 	Specs []AppSpec
-	// Objective scores allocations; nil means total GFLOPS.
-	Objective roofline.Objective
+	// Objective scores allocations; nil means roofline.ObjTotalGFLOPS.
+	Objective roofline.ObjectiveSpec
 	// MinPerNode guarantees every client at least this many threads on
 	// every node (no starvation: under pure throughput maximization a
 	// memory-bound app's threads contribute nothing once bandwidth is
@@ -147,7 +147,7 @@ type RooflineOptimal struct {
 	// applies no floor; 1 reproduces the paper's Table I optimum.
 	MinPerNode int
 	// Search, when set, runs the solve through a shared roofline.Search
-	// (pooled evaluators); nil uses the package-level default.
+	// (pooled evaluators); nil allocates a private one on first use.
 	Search *roofline.Search
 
 	counts []int
@@ -167,13 +167,14 @@ func (p *RooflineOptimal) Decide(_ des.Time, m *machine.Machine, infos []Info) [
 		for i, s := range p.Specs {
 			apps[i] = roofline.App{Name: infos[i].Name, AI: s.AI, Placement: s.Placement, HomeNode: s.HomeNode}
 		}
-		var counts []int
-		var err error
-		if p.Search != nil {
-			counts, _, _, err = p.Search.BestPerNodeCountsFloor(m, apps, p.Objective, p.MinPerNode)
-		} else {
-			counts, _, _, err = roofline.BestPerNodeCountsFloor(m, apps, p.Objective, p.MinPerNode)
+		spec := p.Objective
+		if spec == nil {
+			spec = roofline.ObjTotalGFLOPS
 		}
+		if p.Search == nil {
+			p.Search = new(roofline.Search)
+		}
+		counts, _, _, err := p.Search.BestPerNodeCountsFloorSpec(spec, nil, m, apps, p.MinPerNode)
 		if err != nil {
 			p.failed = true
 			return nil
@@ -215,7 +216,7 @@ type AdaptiveRoofline struct {
 	// (default: all NUMA-perfect). AI is always estimated.
 	Placements []AppSpec
 	// Search, when set, runs re-optimizations through a shared
-	// roofline.Search; nil uses the package-level default.
+	// roofline.Search; nil allocates a private one on first use.
 	Search *roofline.Search
 
 	ticks    int
@@ -296,13 +297,10 @@ func (p *AdaptiveRoofline) Decide(_ des.Time, m *machine.Machine, infos []Info) 
 		// Reset accumulators so re-optimization sees fresh data.
 		p.sumAI[i], p.nAI[i] = 0, 0
 	}
-	var counts []int
-	var err error
-	if p.Search != nil {
-		counts, _, _, err = p.Search.BestPerNodeCounts(m, apps, nil)
-	} else {
-		counts, _, _, err = roofline.BestPerNodeCounts(m, apps, nil)
+	if p.Search == nil {
+		p.Search = new(roofline.Search)
 	}
+	counts, _, _, err := p.Search.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		return nil
 	}

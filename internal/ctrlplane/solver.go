@@ -79,10 +79,10 @@ type solveScratch struct {
 	key    []byte
 }
 
-// Solver computes per-NUMA-node allocations through the agent's
-// policies and memoizes results behind an LRU cache with singleflight
-// collapsing of concurrent identical solves. It is safe for concurrent
-// use.
+// Solver computes per-NUMA-node allocations — the roofline
+// no-starvation solve or the agent's fair share — and memoizes results
+// behind an LRU cache with singleflight collapsing of concurrent
+// identical solves. It is safe for concurrent use.
 type Solver struct {
 	policy string
 	search *roofline.Search
@@ -356,13 +356,11 @@ func resizeInts(v []int, n int) []int {
 	return v[:n]
 }
 
-// solveSlots runs the agent policy over the demand slots (apps in
-// order) and evaluates the result with the roofline model.
+// solveSlots solves the demand slots (apps in order) under the
+// solver's policy and evaluates the result with the roofline model.
 func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
 	n := len(order)
 	rapps := make([]roofline.App, n)
-	aspecs := make([]agent.AppSpec, n)
-	infos := make([]agent.Info, n)
 	for slot, idx := range order {
 		spec := apps[idx].EffectiveSpec()
 		rapps[slot] = roofline.App{
@@ -371,38 +369,31 @@ func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*
 			Placement: spec.Placement,
 			HomeNode:  spec.HomeNode,
 		}
-		aspecs[slot] = agent.AppSpec{AI: spec.AI, Placement: spec.Placement, HomeNode: spec.HomeNode}
-		infos[slot] = agent.Info{Name: spec.Name}
 	}
 
-	var cmds []agent.Command
+	counts := make([][]int, n)
 	switch s.policy {
 	case PolicyFairShare:
-		cmds = agent.FairShare{PerNode: true}.Decide(des.Time(0), m, infos)
+		for _, cmd := range (agent.FairShare{PerNode: true}).Decide(des.Time(0), m, make([]agent.Info, n)) {
+			counts[cmd.Client] = cmd.PerNode
+		}
 	default:
-		// Floor 1 guarantees every cooperating app a thread on every
-		// node (no starvation) and reproduces the paper's Table I
-		// optimum; when the floors alone over-subscribe a node (more
-		// apps than cores per node), fall back to the unfloored solve.
-		cmds = (&agent.RooflineOptimal{Specs: aspecs, MinPerNode: 1, Search: s.search}).Decide(des.Time(0), m, infos)
-		if len(cmds) == 0 {
-			cmds = (&agent.RooflineOptimal{Specs: aspecs, Search: s.search}).Decide(des.Time(0), m, infos)
+		// The no-starvation floor of one thread per app per node
+		// reproduces the paper's Table I optimum; the search drops to
+		// floor zero when the floors alone over-subscribe a node.
+		perApp, _, _, err := s.search.BestPerNodeCountsNoStarve(roofline.ObjTotalGFLOPS, nil, m, rapps)
+		if err != nil {
+			return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, n, err)
 		}
-	}
-	if len(cmds) == 0 {
-		return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps", s.policy, n)
-	}
-	counts := make([][]int, n)
-	for _, cmd := range cmds {
-		if cmd.Client < 0 || cmd.Client >= n || cmd.PerNode == nil {
-			return nil, fmt.Errorf("ctrlplane: policy %s produced an invalid command", s.policy)
+		for slot, c := range perApp {
+			row := make([]int, m.NumNodes())
+			for j := range row {
+				row[j] = c
+			}
+			counts[slot] = row
 		}
-		counts[cmd.Client] = append([]int(nil), cmd.PerNode...)
 	}
 	for slot := range counts {
-		if counts[slot] == nil {
-			counts[slot] = make([]int, m.NumNodes())
-		}
 		trimToCap(counts[slot], apps[order[slot]].Spec.MaxThreads)
 	}
 

@@ -8,7 +8,9 @@
 // GFLOPS is the sum of each machine's solved optimum over its local
 // demand set, so the placement score of (app, machine) is the marginal
 // aggregate GFLOPS of adding the app to that machine's demand set under
-// BestPerNodeCountsFloor. Three cooperating pieces implement it:
+// roofline.Search.BestPerNodeCountsNoStarve (the no-starvation floor of
+// one thread per app per node, dropping to floor zero when it cannot
+// fit). Three cooperating pieces implement it:
 //
 //   - Inventory polls member machines' coopd endpoints (topology,
 //     registered apps, solved allocation) and tracks health; a member

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/roofline"
 )
 
@@ -790,7 +792,8 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 		// the source is unreachable (lost) or untrusted mid-flap
 		// (quarantine), so its copy is marked stale and cleaned up when —
 		// or while — the member answers again.
-		if mv.Reason != ReasonMachineLost && mv.Reason != ReasonQuarantine {
+		drained := mv.Reason != ReasonMachineLost && mv.Reason != ReasonQuarantine
+		if drained {
 			cli, err := r.Inv.Client(mv.From)
 			if err != nil {
 				keep(err)
@@ -804,17 +807,24 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 			}
 			r.Inv.noteDeregistered(mv.From, mv.AppID)
 		}
-		cli, err := r.Inv.Client(mv.To)
+		resp, err := r.register(ctx, mv.To, mv.App)
 		if err != nil {
+			err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
+			if drained {
+				// The app is already off its source: put it back there
+				// rather than leave it registered nowhere.
+				back, rerr := r.register(ctx, mv.From, mv.App)
+				if rerr != nil {
+					err = errors.Join(err, fmt.Errorf("fleet: restoring %s on %s: %w", mv.AppID, mv.From, rerr))
+				} else {
+					r.Inv.noteRegistered(mv.From, mv.App.placed(back.ID))
+					r.logf("fleet: move of %s to %s failed; restored on %s as %s", mv.AppID, mv.To, mv.From, back.ID)
+				}
+			}
 			keep(err)
 			continue
 		}
-		resp, err := cli.Register(ctx, mv.App.registerRequest())
-		if err != nil {
-			keep(fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err))
-			continue
-		}
-		if mv.Reason == ReasonMachineLost || mv.Reason == ReasonQuarantine {
+		if !drained {
 			r.Inv.noteDeregistered(mv.From, mv.AppID)
 			r.Inv.noteStale(mv.From, mv.AppID)
 		}
@@ -826,6 +836,15 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 			mv.AppID, mv.From, mv.To, resp.ID, mv.Reason, mv.Score)
 	}
 	return firstErr
+}
+
+// register places app on member through the member's coopd client.
+func (r *Rebalancer) register(ctx context.Context, member string, app AppSpec) (*ctrlplane.RegisterResponse, error) {
+	cli, err := r.Inv.Client(member)
+	if err != nil {
+		return nil, err
+	}
+	return cli.Register(ctx, app.registerRequest())
 }
 
 // Round runs one control-loop iteration: poll the fleet, plan, execute.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"net/http"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -13,9 +14,16 @@ import (
 // rebalancer over it.
 func twoMachineFleet(t *testing.T, maxMoves int) (*Inventory, *Rebalancer) {
 	t.Helper()
+	return twoMachineFleetVia(t, maxMoves, nil)
+}
+
+// twoMachineFleetVia is twoMachineFleet with the inventory's clients
+// sending through rt (nil: the default transport).
+func twoMachineFleetVia(t *testing.T, maxMoves int, rt http.RoundTripper) (*Inventory, *Rebalancer) {
+	t.Helper()
 	ctx := context.Background()
 	a, b := newCoopd(t), newCoopd(t)
-	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil), FailAfter: 2})
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(rt), FailAfter: 2})
 	if err := inv.Add("a", a.URL); err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +95,42 @@ func TestRebalanceClosesImbalanceGap(t *testing.T) {
 	}
 	if len(again.Moves) != 0 {
 		t.Fatalf("steady state still churns: %+v", again.Moves)
+	}
+}
+
+// TestRebalanceDrainThenPlaceRestoresSource: a rebalance move drains
+// the app off its source before registering it on the target. When the
+// target is cut off between Plan and Execute, the app must go back on
+// its source rather than end up registered nowhere.
+func TestRebalanceDrainThenPlaceRestoresSource(t *testing.T) {
+	ctx := context.Background()
+	part := faultinject.NewPartition()
+	inv, reb := twoMachineFleetVia(t, 4, part.Transport(nil))
+	plan, err := reb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Moves) == 0 {
+		t.Fatal("no moves planned; the fixture should be imbalanced")
+	}
+	mb, _ := inv.Member("b")
+	part.Isolate(hostOf(t, mb.Endpoints[0]))
+	if err := reb.Execute(ctx, plan); err == nil {
+		t.Fatal("Execute toward a cut-off target reported no error")
+	}
+	part.HealAll()
+	inv.Poll(ctx)
+	seen := map[string]int{}
+	for _, id := range []string{"a", "b"} {
+		m, _ := inv.Member(id)
+		for _, app := range m.Apps {
+			seen[app.Name]++
+		}
+	}
+	for _, name := range []string{"mem-a", "mem-b", "mem-c", "comp"} {
+		if seen[name] != 1 {
+			t.Errorf("%s registered %d times after the failed moves, want 1 (registry %v)", name, seen[name], seen)
+		}
 	}
 }
 

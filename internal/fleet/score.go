@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/binary"
-	"errors"
 	"math"
 	"sync"
 
@@ -57,9 +56,9 @@ type scoreScratch struct {
 
 // Scorer computes placement scores with the same solve semantics the
 // coopd allocator uses, so the fleet's predicted aggregate matches what
-// the machines actually serve: BestPerNodeCountsFloor with a floor of
-// one thread per app per node (no starvation), falling back to floor
-// zero when the floors alone over-subscribe a node.
+// the machines actually serve: roofline.Search.BestPerNodeCountsNoStarve,
+// a floor of one thread per app per node (no starvation), falling back
+// to floor zero when the floors alone over-subscribe a node.
 //
 // Solves are memoized fleet-wide by machine equivalence class — the
 // pair (topology hash, sorted demand-key multiset). Two machines with
@@ -70,9 +69,9 @@ type scoreScratch struct {
 // demand multiset and therefore its key, so no explicit invalidation
 // exists or is needed — stale classes simply age out of the bounded
 // LRU. Cache misses warm-start the branch-and-bound from the memoized
-// optimum of the ±1-app neighbour when one is at hand
-// (roofline.BestPerNodeCountsFloorFrom), which cannot change the
-// result. One Scorer is safe for concurrent use.
+// optimum of the ±1-app neighbour when one is at hand (the prev
+// argument of roofline.Search.BestPerNodeCountsFloorSpec), which cannot
+// change the result. One Scorer is safe for concurrent use.
 type Scorer struct {
 	// DomainSpread enables the failure-domain anti-affinity tie-break:
 	// when several machines tie on marginal GFLOPS, the decision prefers
@@ -232,7 +231,8 @@ func (sc *Scorer) store(key []byte, out solveOutcome) {
 
 // solveDemand is the memoized fleet-semantics solve. hint, when
 // non-nil, warm-starts a cache miss from a ±1-app neighbour's optimum
-// (it cannot change the result — see BestPerNodeCountsFloorFrom).
+// (it cannot change the result — see
+// roofline.Search.BestPerNodeCountsFloorSpec).
 // Errors are not cached: they are rare (invalid demand) and re-solving
 // keeps the memo free of negative entries.
 func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []int, s *scoreScratch) (solveOutcome, error) {
@@ -247,10 +247,7 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []
 	if spec == nil {
 		spec = roofline.ObjTotalGFLOPS
 	}
-	counts, _, res, err := sc.search.BestPerNodeCountsFloorSpec(spec, hint, m, demand, 1)
-	if errors.Is(err, roofline.ErrNoAllocation) {
-		counts, _, res, err = sc.search.BestPerNodeCountsFloorSpec(spec, hint, m, demand, 0)
-	}
+	counts, _, res, err := sc.search.BestPerNodeCountsNoStarve(spec, hint, m, demand)
 	if err != nil {
 		return solveOutcome{}, err
 	}

@@ -97,9 +97,9 @@ func naiveSolveTotal(t *testing.T, m *machine.Machine, demand []roofline.App) fl
 		return 0
 	}
 	var s roofline.Search
-	_, _, res, err := s.BestPerNodeCountsFloor(m, demand, nil, 1)
+	_, _, res, err := s.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, demand, 1)
 	if err == roofline.ErrNoAllocation {
-		_, _, res, err = s.BestPerNodeCountsFloor(m, demand, nil, 0)
+		_, _, res, err = s.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, demand, 0)
 	}
 	if err != nil {
 		t.Fatal(err)

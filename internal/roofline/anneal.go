@@ -23,9 +23,10 @@ type AnnealConfig struct {
 // thread of one application between nodes, reassigning a core to
 // another application, adding a thread on a free core, or removing one
 // — accepted when they improve the objective or probabilistically when
-// they do not. Unlike BestPerNodeCounts it can express asymmetric
-// optima (e.g. giving a NUMA-bad application threads only on its home
-// node), and unlike Optimize's hill climbing it escapes local optima.
+// they do not. Unlike the uniform per-node search
+// (Search.BestPerNodeCountsFloorSpec) it can express asymmetric optima
+// (e.g. giving a NUMA-bad application threads only on its home node),
+// and unlike Optimize's hill climbing it escapes local optima.
 func Anneal(m *machine.Machine, apps []App, obj Objective, cfg AnnealConfig) (Allocation, *Result, error) {
 	if obj == nil {
 		obj = TotalGFLOPS

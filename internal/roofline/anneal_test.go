@@ -29,7 +29,8 @@ func TestAnnealFindsAsymmetricOptimum(t *testing.T) {
 		{Name: "mem", AI: 1.0 / 32},
 		{Name: "bad", AI: 1.0 / 16, Placement: NUMABad, HomeNode: 0},
 	}
-	counts, _, uniformRes, err := BestPerNodeCounts(m, apps, nil)
+	var s Search
+	counts, _, uniformRes, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

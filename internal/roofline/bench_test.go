@@ -30,7 +30,7 @@ func BenchmarkSolveColdTableI(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s Search
-		if _, _, _, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1); err != nil {
+		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkSolveCold8Apps(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s Search
-		if _, _, _, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1); err != nil {
+		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,13 +59,13 @@ func BenchmarkSolveWarmStart8Apps(b *testing.B) {
 	m := machine.SkylakeQuad()
 	apps := eightAppMix()
 	var s Search
-	prev, _, _, err := s.BestPerNodeCountsFloor(m, apps[:7], TotalGFLOPS, 1)
+	prev, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps[:7], 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := s.BestPerNodeCountsFloorFrom(prev, m, apps, TotalGFLOPS, 1); err != nil {
+		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, prev, m, apps, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

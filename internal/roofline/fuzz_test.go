@@ -30,7 +30,7 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// neighbour's optimum must stay bit-identical to cold solves.
 		warmStartRound(t, r)
 		// And the objective-spec equivalence: total-GFLOPS through the
-		// ObjectiveSpec interface vs the legacy Search, plus pruned vs
+		// ObjectiveSpec interface vs the naive scan, plus pruned vs
 		// unpruned solves for every bounded objective (admissibility).
 		objectiveRound(t, r)
 	})

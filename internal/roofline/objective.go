@@ -32,8 +32,9 @@ type ObjectiveSpec interface {
 var (
 	// ObjTotalGFLOPS maximizes machine-wide throughput. Its bound is
 	// the greedy fractional relaxation of the bandwidth pool (see
-	// greedyBound); solves through it are bit-identical to the
-	// historical Search (objective_test.go pins this differentially).
+	// greedyBound); solves through it are bit-identical to the naive
+	// exhaustive enumeration (objective_test.go pins this
+	// differentially).
 	ObjTotalGFLOPS ObjectiveSpec = totalGFLOPSSpec{}
 	// ObjWeightedPriority maximizes Σ wᵢ·gᵢ with wᵢ = App.Weight
 	// (0 or negative means 1). The bound generalizes the greedy
@@ -104,15 +105,6 @@ type maxMinSpec struct{}
 func (maxMinSpec) Name() string                            { return "max-min" }
 func (maxMinSpec) Objective([]App) Objective               { return MinAppGFLOPS }
 func (maxMinSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
-
-// boundFreeSpec adapts a bare Objective into a bound-free spec; it is
-// how the legacy BestPerNodeCountsFloor(obj) entry points preserve
-// their exact historical prune semantics (prune only for TotalGFLOPS).
-type boundFreeSpec struct{ obj Objective }
-
-func (boundFreeSpec) Name() string                            { return "custom" }
-func (s boundFreeSpec) Objective([]App) Objective             { return s.obj }
-func (boundFreeSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
 
 // greedyBound is the admissible upper bound shared by the total-GFLOPS
 // and weighted-priority objectives (see DESIGN.md): every thread

@@ -10,15 +10,15 @@ import (
 
 // checkSpecMatches solves (m, apps, floor) through spec and through a
 // reference path and demands bit-identical counts and Results (or the
-// same error). ref is typically the legacy Objective entry point (for
-// the total-GFLOPS identity) or the same spec stripped of its bound
-// (for bound-admissibility: pruned and unpruned search must agree).
+// same error). ref is typically the naive exhaustive scan (see naive)
+// or the same spec stripped of its bound (see unpruned; for
+// bound-admissibility: pruned and unpruned search must agree).
 func checkSpecMatches(t *testing.T, label string, s *Search, spec ObjectiveSpec,
 	m *machine.Machine, apps []App, floor int,
-	ref func() ([]int, Allocation, *Result, error)) {
+	ref func() ([]int, *Result, error)) {
 	t.Helper()
 	gotCounts, _, gotRes, gotErr := s.BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor)
-	wantCounts, _, wantRes, wantErr := ref()
+	wantCounts, wantRes, wantErr := ref()
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: error mismatch: spec %v, ref %v", label, gotErr, wantErr)
 	}
@@ -40,6 +40,21 @@ type strippedSpec struct{ ObjectiveSpec }
 
 func (strippedSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
 
+// naive is the checkSpecMatches reference for the naive exhaustive
+// scan under obj.
+func naive(m *machine.Machine, apps []App, obj Objective, floor int) func() ([]int, *Result, error) {
+	return func() ([]int, *Result, error) { return naiveBestPerNodeCountsFloor(m, apps, obj, floor) }
+}
+
+// unpruned is the checkSpecMatches reference for spec solved with its
+// bound stripped.
+func unpruned(s *Search, spec ObjectiveSpec, m *machine.Machine, apps []App, floor int) func() ([]int, *Result, error) {
+	return func() ([]int, *Result, error) {
+		counts, _, res, err := s.BestPerNodeCountsFloorSpec(strippedSpec{spec}, nil, m, apps, floor)
+		return counts, res, err
+	}
+}
+
 func TestObjectiveSpecByName(t *testing.T) {
 	for _, name := range []string{"", "total-gflops", "weighted-priority", "max-min"} {
 		if _, err := ObjectiveSpecByName(name); err != nil {
@@ -54,10 +69,9 @@ func TestObjectiveSpecByName(t *testing.T) {
 	}
 }
 
-// TestTotalSpecBitIdenticalToLegacySearch pins the tentpole refactor:
-// routing the total-GFLOPS objective through the ObjectiveSpec
-// interface returns exactly what the historical Search entry points
-// return, on every paper fixture and floor.
+// TestTotalSpecBitIdenticalToLegacySearch pins the total-GFLOPS spec
+// to the naive exhaustive scan under the bare TotalGFLOPS objective the
+// historical entry points took, on every paper fixture and floor.
 func TestTotalSpecBitIdenticalToLegacySearch(t *testing.T) {
 	var s Search
 	cases := []struct {
@@ -74,13 +88,7 @@ func TestTotalSpecBitIdenticalToLegacySearch(t *testing.T) {
 		for _, floor := range []int{0, 1, 2} {
 			label := fmt.Sprintf("%s/floor=%d", c.name, floor)
 			checkSpecMatches(t, label, &s, ObjTotalGFLOPS, c.m, c.apps, floor,
-				func() ([]int, Allocation, *Result, error) {
-					return s.BestPerNodeCountsFloor(c.m, c.apps, TotalGFLOPS, floor)
-				})
-			checkSpecMatches(t, label+"/nil-obj", &s, ObjTotalGFLOPS, c.m, c.apps, floor,
-				func() ([]int, Allocation, *Result, error) {
-					return s.BestPerNodeCountsFloor(c.m, c.apps, nil, floor)
-				})
+				naive(c.m, c.apps, TotalGFLOPS, floor))
 		}
 	}
 }
@@ -110,25 +118,21 @@ func TestWeightedBoundAdmissiblePaperFixtures(t *testing.T) {
 			label := fmt.Sprintf("weights=%d/floor=%d", wi, floor)
 			checkSpecMatches(t, label, &s, ObjWeightedPriority,
 				machine.PaperModel(), apps, floor,
-				func() ([]int, Allocation, *Result, error) {
-					return s.BestPerNodeCountsFloorSpec(strippedSpec{ObjWeightedPriority}, nil,
-						machine.PaperModel(), apps, floor)
-				})
+				unpruned(&s, ObjWeightedPriority, machine.PaperModel(), apps, floor))
 		}
 	}
 }
 
 // TestMaxMinSpecMatchesLegacyObjective: the bound-free max-min spec
-// must land exactly where the legacy unpruned MinAppGFLOPS search does.
+// must land exactly where the naive scan under the bare MinAppGFLOPS
+// objective does.
 func TestMaxMinSpecMatchesLegacyObjective(t *testing.T) {
 	var s Search
 	m := machine.PaperModel()
 	apps := paperApps()
 	for _, floor := range []int{0, 1} {
 		checkSpecMatches(t, fmt.Sprintf("max-min/floor=%d", floor), &s, ObjMaxMinGFLOPS, m, apps, floor,
-			func() ([]int, Allocation, *Result, error) {
-				return s.BestPerNodeCountsFloor(m, apps, MinAppGFLOPS, floor)
-			})
+			naive(m, apps, MinAppGFLOPS, floor))
 	}
 }
 
@@ -166,10 +170,10 @@ func TestWeightedBoundAdmissibleRandomized(t *testing.T) {
 
 // objectiveRound is one randomized objective-equivalence check, also
 // wired into FuzzEvaluatorEquivalence so the checked-in corpus replays
-// it: (1) total-GFLOPS through the spec interface vs the legacy entry
-// point, (2) weighted-priority pruned vs unpruned, (3) max-min spec vs
-// legacy MinAppGFLOPS — all bit-identical. Machines stay small so the
-// unpruned references stay cheap.
+// it: (1) total-GFLOPS through the spec interface vs the naive scan,
+// (2) weighted-priority pruned vs unpruned, (3) max-min spec vs the
+// naive scan under MinAppGFLOPS — all bit-identical. Machines stay
+// small so the unpruned references stay cheap.
 func objectiveRound(t *testing.T, r *rand.Rand) {
 	t.Helper()
 	nNodes := 2 + r.Intn(2)
@@ -197,15 +201,9 @@ func objectiveRound(t *testing.T, r *rand.Rand) {
 	floor := r.Intn(2)
 	var s Search
 	checkSpecMatches(t, fmt.Sprintf("rand/total floor=%d", floor), &s, ObjTotalGFLOPS, m, apps, floor,
-		func() ([]int, Allocation, *Result, error) {
-			return s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, floor)
-		})
+		naive(m, apps, TotalGFLOPS, floor))
 	checkSpecMatches(t, fmt.Sprintf("rand/weighted floor=%d", floor), &s, ObjWeightedPriority, m, apps, floor,
-		func() ([]int, Allocation, *Result, error) {
-			return s.BestPerNodeCountsFloorSpec(strippedSpec{ObjWeightedPriority}, nil, m, apps, floor)
-		})
+		unpruned(&s, ObjWeightedPriority, m, apps, floor))
 	checkSpecMatches(t, fmt.Sprintf("rand/max-min floor=%d", floor), &s, ObjMaxMinGFLOPS, m, apps, floor,
-		func() ([]int, Allocation, *Result, error) {
-			return s.BestPerNodeCountsFloor(m, apps, MinAppGFLOPS, floor)
-		})
+		naive(m, apps, MinAppGFLOPS, floor))
 }

@@ -328,7 +328,8 @@ func TestOptimizerBeatsEven(t *testing.T) {
 func TestBestPerNodeCounts(t *testing.T) {
 	m := machine.PaperModel()
 	apps := paperApps()
-	counts, _, res, err := BestPerNodeCounts(m, apps, nil)
+	var s Search
+	counts, _, res, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package roofline
 
 import (
+	"errors"
 	"math"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,7 +57,7 @@ const boundSlack = 1e-6
 // paper-sized problems.
 const seqLeafThreshold = 4096
 
-// bnbCtx is the read-only shared state of one BestPerNodeCountsFloor
+// bnbCtx is the read-only shared state of one BestPerNodeCountsFloorSpec
 // run plus the shared incumbent.
 type bnbCtx struct {
 	nApps, nNodes int
@@ -151,27 +151,27 @@ type branchResult struct {
 	counts []int
 }
 
-// BestPerNodeCountsFloor searches uniform per-node allocations (every
-// app gets counts[i] threads on every node, each app at least floor)
-// for the one maximizing obj, exactly like the package-level
-// BestPerNodeCountsFloor but using the memoizing Evaluator, a
-// branch-and-bound prune (for the default total-GFLOPS objective), and
-// goroutine fan-out of the top-level branches. The returned counts,
-// allocation, and Result are identical to the exhaustive reference
-// search (search_test.go proves it differentially).
-func (s *Search) BestPerNodeCountsFloor(m *machine.Machine, apps []App, obj Objective, floor int) ([]int, Allocation, *Result, error) {
-	return s.BestPerNodeCountsFloorFrom(nil, m, apps, obj, floor)
-}
-
-// BestPerNodeCountsFloorFrom is BestPerNodeCountsFloor warm-started
-// from a previous optimum: prev is the counts vector of a related solve
-// — the same apps (len(prev) == len(apps)), or the demand set minus its
-// last app (len(prev) == len(apps)-1, the +1-app neighbour the fleet
-// scorer hits on every placement decision). Seed candidates derived
-// from prev are evaluated up front and their true objective values
-// raise the branch-and-bound incumbent before the search starts, so
-// when the new optimum is near the old one most subtrees prune
-// immediately.
+// BestPerNodeCountsFloorSpec is the one entry point into the
+// per-node-counts optimizer. It searches uniform per-node allocations
+// (every app gets counts[i] threads on every node, each app at least
+// floor) for the one maximizing spec's objective, using the memoizing
+// Evaluator, goroutine fan-out of the top-level branches, and — when
+// spec supplies an admissible bound — a branch-and-bound prune. A
+// bound-free spec degrades to the exhaustive enumeration over the
+// memoizing Evaluator, which is exact for any objective. The returned
+// counts, allocation, and Result are identical to the exhaustive
+// reference search (search_test.go proves it differentially). It
+// returns ErrNoAllocation when the floors alone over-subscribe a node
+// (more apps than cores) or no candidate evaluates.
+//
+// prev warm-starts the solve from a previous optimum: the counts
+// vector of a related solve — the same apps (len(prev) == len(apps)),
+// or the demand set minus its last app (len(prev) == len(apps)-1, the
+// +1-app neighbour the fleet scorer hits on every placement decision).
+// Seed candidates derived from prev are evaluated up front and their
+// true objective values raise the branch-and-bound incumbent before
+// the search starts, so when the new optimum is near the old one most
+// subtrees prune immediately.
 //
 // Warm-starting cannot change the answer: every seed is an ordinary
 // feasible candidate, so the incumbent is only raised to objective
@@ -182,28 +182,6 @@ func (s *Search) BestPerNodeCountsFloor(m *machine.Machine, apps []App, obj Obje
 // differentially. A prev of any other length, or one infeasible under
 // the requested floor, is ignored (the solve degrades to cold, never
 // errors).
-//
-// A bare Objective carries no bound, so only the recognized
-// TotalGFLOPS function prunes; anything else enumerates unpruned —
-// the exact historical semantics. New callers wanting pruned search
-// under other objectives use BestPerNodeCountsFloorSpec with an
-// ObjectiveSpec supplying its own admissible bound.
-func (s *Search) BestPerNodeCountsFloorFrom(prev []int, m *machine.Machine, apps []App, obj Objective, floor int) ([]int, Allocation, *Result, error) {
-	var spec ObjectiveSpec
-	if obj == nil || objIsTotalGFLOPS(obj) {
-		spec = ObjTotalGFLOPS
-	} else {
-		spec = boundFreeSpec{obj}
-	}
-	return s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
-}
-
-// BestPerNodeCountsFloorSpec is the spec-based core of the search: the
-// objective and its (optional) admissible bound both come from spec.
-// With a bound the branch-and-bound prunes; without one the search
-// degrades to the exhaustive enumeration over the memoizing Evaluator,
-// which is exact for any objective. prev warm-starts exactly as in
-// BestPerNodeCountsFloorFrom.
 func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, Allocation, *Result, error) {
 	obj := spec.Objective(apps)
 	if floor < 0 {
@@ -339,8 +317,25 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	return bestCounts, al, res, nil
 }
 
+// BestPerNodeCountsNoStarve is the solve coopd and fleetd serve: it
+// first applies the paper's no-starvation floor of one thread per app
+// per node (which gives the Table I optimum) and, when those floors
+// alone over-subscribe a node (ErrNoAllocation), re-solves at floor 0.
+// It returns the floor the answer was found at. This is the one home
+// of that fallback rule; prev warm-starts both attempts exactly as in
+// BestPerNodeCountsFloorSpec.
+func (s *Search) BestPerNodeCountsNoStarve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) ([]int, int, *Result, error) {
+	floor := 1
+	counts, _, res, err := s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
+	if errors.Is(err, ErrNoAllocation) {
+		floor = 0
+		counts, _, res, err = s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
+	}
+	return counts, floor, res, err
+}
+
 // seedIncumbent evaluates the warm-start candidates derived from prev
-// (see BestPerNodeCountsFloorFrom) and raises the shared incumbent to
+// (see BestPerNodeCountsFloorSpec) and raises the shared incumbent to
 // the best of their true objective values. Full-length hints are
 // evaluated as-is; one-short hints are extended over every feasible
 // count for the missing last app (at most capCores cheap evaluations,
@@ -416,11 +411,6 @@ func (s *Search) seedIncumbent(ctx *bnbCtx, m *machine.Machine, apps []App, prev
 	}
 }
 
-// BestPerNodeCounts is BestPerNodeCountsFloor with no floor.
-func (s *Search) BestPerNodeCounts(m *machine.Machine, apps []App, obj Objective) ([]int, Allocation, *Result, error) {
-	return s.BestPerNodeCountsFloor(m, apps, obj, 0)
-}
-
 // estimateLeaves returns the number of candidates: compositions of at
 // most budget extra cores over n apps, C(budget+n, n), saturating well
 // above the sequential threshold.
@@ -436,14 +426,4 @@ func estimateLeaves(budget, n int) int64 {
 		}
 	}
 	return v
-}
-
-// totalGFLOPSPtr is TotalGFLOPS's code pointer, captured once so the
-// per-solve identity check below stays off the reflect path.
-var totalGFLOPSPtr = reflect.ValueOf(Objective(TotalGFLOPS)).Pointer()
-
-// objIsTotalGFLOPS reports whether obj is the package's TotalGFLOPS
-// function; the branch-and-bound upper bound is only sound for it.
-func objIsTotalGFLOPS(obj Objective) bool {
-	return reflect.ValueOf(obj).Pointer() == totalGFLOPSPtr
 }

@@ -15,9 +15,6 @@ import (
 // reference model, first strict improvement wins. The fast search must
 // return exactly this answer.
 func naiveBestPerNodeCountsFloor(m *machine.Machine, apps []App, obj Objective, floor int) ([]int, *Result, error) {
-	if obj == nil {
-		obj = TotalGFLOPS
-	}
 	capCores := m.Nodes[0].Cores
 	for _, n := range m.Nodes[1:] {
 		if n.Cores < capCores {
@@ -73,12 +70,13 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// checkSearchMatchesNaive runs both searches and demands identical
-// counts and bitwise-identical results (or the same error).
-func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, obj Objective, floor int) {
+// checkSearchMatchesNaive solves through spec and through the naive
+// scan under obj (the bare objective spec should score by) and demands
+// identical counts and bitwise-identical results (or the same error).
+func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, spec ObjectiveSpec, obj Objective, floor int) {
 	t.Helper()
 	wantCounts, wantRes, wantErr := naiveBestPerNodeCountsFloor(m, apps, obj, floor)
-	gotCounts, _, gotRes, gotErr := s.BestPerNodeCountsFloor(m, apps, obj, floor)
+	gotCounts, _, gotRes, gotErr := s.BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor)
 	if wantErr != nil || gotErr != nil {
 		if !errors.Is(gotErr, ErrNoAllocation) || !errors.Is(wantErr, ErrNoAllocation) {
 			t.Fatalf("%s: error mismatch: naive %v, search %v", label, wantErr, gotErr)
@@ -96,8 +94,8 @@ func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.M
 
 // TestSearchMatchesNaivePaperFixtures pins the pruned search to the
 // naive exhaustive scan on every paper fixture, with and without the
-// no-starvation floor, under both the pruned (TotalGFLOPS, nil) and
-// unpruned (MinAppGFLOPS) objectives.
+// no-starvation floor, under the pruned (total, weighted) and unpruned
+// (max-min) objectives.
 func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 	var s Search
 	cases := []struct {
@@ -110,20 +108,26 @@ func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 		{"skylake", machine.SkylakeQuad(), tableIIIApps()},
 		{"skylake-bad", machine.SkylakeQuad(), tableIIIBadApps()},
 	}
+	weights := []float64{3, 1, 1, 1}
 	objs := []struct {
-		name string
-		obj  Objective
+		name    string
+		spec    ObjectiveSpec
+		obj     Objective
+		weights []float64
 	}{
-		{"total", TotalGFLOPS},
-		{"nil", nil},
-		{"min-app", MinAppGFLOPS},
-		{"weighted", WeightedAppGFLOPS([]float64{3, 1, 1, 1})},
+		{"total", ObjTotalGFLOPS, TotalGFLOPS, nil},
+		{"min-app", ObjMaxMinGFLOPS, MinAppGFLOPS, nil},
+		{"weighted", ObjWeightedPriority, WeightedAppGFLOPS(weights), weights},
 	}
 	for _, c := range cases {
 		for _, o := range objs {
+			apps := append([]App(nil), c.apps...)
+			for i, w := range o.weights {
+				apps[i].Weight = w
+			}
 			for _, floor := range []int{0, 1} {
 				checkSearchMatchesNaive(t, fmt.Sprintf("%s/%s/floor=%d", c.name, o.name, floor),
-					&s, c.m, c.apps, o.obj, floor)
+					&s, c.m, apps, o.spec, o.obj, floor)
 			}
 		}
 	}
@@ -134,7 +138,7 @@ func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 // uneven split (1,1,1,5) at 254 GFLOPS.
 func TestSearchTableIOptimum(t *testing.T) {
 	var s Search
-	counts, _, res, err := s.BestPerNodeCountsFloor(machine.PaperModel(), paperApps(), TotalGFLOPS, 1)
+	counts, _, res, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, machine.PaperModel(), paperApps(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +146,47 @@ func TestSearchTableIOptimum(t *testing.T) {
 		t.Fatalf("optimum counts = %v, want [1 1 1 5]", counts)
 	}
 	almost(t, "table I optimum", res.TotalGFLOPS, 254, 1e-9)
+}
+
+// TestBestPerNodeCountsNoStarve pins the floor-1 → floor-0 fallback:
+// the Table I mix fits the no-starvation floor and lands on the paper's
+// optimum, nine apps cannot each hold a thread on an 8-core node and
+// drop to the naive floor-0 optimum, and an empty demand set gives the
+// empty allocation.
+func TestBestPerNodeCountsNoStarve(t *testing.T) {
+	m := machine.PaperModel()
+	nine := make([]App, 9)
+	for i := range nine {
+		nine[i] = App{Name: fmt.Sprintf("s%d", i), AI: 0.5}
+	}
+	nineCounts, nineRes, err := naiveBestPerNodeCountsFloor(m, nine, TotalGFLOPS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name       string
+		apps       []App
+		wantFloor  int
+		wantCounts []int
+		wantTotal  float64
+	}{
+		{"table-I", paperApps(), 1, []int{1, 1, 1, 5}, 254},
+		{"nine-identical", nine, 0, nineCounts, nineRes.TotalGFLOPS},
+		{"empty", nil, 1, nil, 0},
+	}
+	var s Search
+	for _, c := range cases {
+		counts, floor, res, err := s.BestPerNodeCountsNoStarve(ObjTotalGFLOPS, nil, m, c.apps)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if floor != c.wantFloor || !intsEqual(counts, c.wantCounts) {
+			t.Errorf("%s: floor %d counts %v, want floor %d counts %v", c.name, floor, counts, c.wantFloor, c.wantCounts)
+		}
+		if res.TotalGFLOPS != c.wantTotal {
+			t.Errorf("%s: total %v, want %v", c.name, res.TotalGFLOPS, c.wantTotal)
+		}
+	}
 }
 
 // TestSearchMatchesNaiveRandomized fuzzes the equivalence over random
@@ -153,23 +198,18 @@ func TestSearchMatchesNaiveRandomized(t *testing.T) {
 		m := randomMachine(r)
 		apps := randomApps(r, m)
 		floor := r.Intn(3)
-		var obj Objective
-		switch r.Intn(3) {
-		case 0:
-			obj = TotalGFLOPS
-		case 1:
-			obj = nil
-		default:
-			obj = MinAppGFLOPS
+		spec, obj := ObjTotalGFLOPS, Objective(TotalGFLOPS)
+		if r.Intn(2) == 1 {
+			spec, obj = ObjMaxMinGFLOPS, MinAppGFLOPS
 		}
-		checkSearchMatchesNaive(t, fmt.Sprintf("seed=%d", seed), &s, m, apps, obj, floor)
+		checkSearchMatchesNaive(t, fmt.Sprintf("seed=%d", seed), &s, m, apps, spec, obj, floor)
 	}
 }
 
 // floorSearchRound is the fuzz limb behind the fleet placer's scoring
 // path: a small random machine and a demand set with a guaranteed
 // NUMA-bad app, solved under a no-starvation floor >= 1 (the
-// BestPerNodeCountsFloor configuration fleetd scores every placement
+// BestPerNodeCountsFloorSpec configuration fleetd scores every placement
 // with) and checked against the naive exhaustive reference. Machines
 // stay small (<= 3 nodes, <= 6 cores) so the naive recursion is cheap
 // inside the fuzz loop.
@@ -205,13 +245,13 @@ func floorSearchRound(t *testing.T, r *rand.Rand) {
 	bad := r.Intn(nApps)
 	apps[bad].Placement = NUMABad
 	apps[bad].HomeNode = machine.NodeID(r.Intn(nNodes))
-	obj := Objective(TotalGFLOPS)
+	spec, obj := ObjTotalGFLOPS, Objective(TotalGFLOPS)
 	if r.Intn(3) == 0 {
-		obj = MinAppGFLOPS
+		spec, obj = ObjMaxMinGFLOPS, MinAppGFLOPS
 	}
 	floor := 1 + r.Intn(2)
 	var s Search
-	checkSearchMatchesNaive(t, fmt.Sprintf("floor=%d numa-bad=%d", floor, bad), &s, m, apps, obj, floor)
+	checkSearchMatchesNaive(t, fmt.Sprintf("floor=%d numa-bad=%d", floor, bad), &s, m, apps, spec, obj, floor)
 }
 
 // TestSearchParallelDeterministic forces the parallel fan-out path
@@ -236,7 +276,7 @@ func TestSearchParallelDeterministic(t *testing.T) {
 	for _, par := range []int{0, 1, 3, 8} {
 		s := Search{Parallelism: par}
 		for run := 0; run < 2; run++ {
-			gotCounts, _, gotRes, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1)
+			gotCounts, _, gotRes, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1)
 			if err != nil {
 				t.Fatalf("par=%d run=%d: %v", par, run, err)
 			}
@@ -256,11 +296,11 @@ func TestSearchNoAllocation(t *testing.T) {
 	var s Search
 	m := machine.PaperModel() // 8 cores per node
 	apps := paperApps()       // 4 apps; floor 3 needs 12 cores per node
-	if _, _, _, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 3); !errors.Is(err, ErrNoAllocation) {
+	if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 3); !errors.Is(err, ErrNoAllocation) {
 		t.Errorf("over-subscribing floor: err = %v, want ErrNoAllocation", err)
 	}
 	bad := []App{{Name: "neg", AI: -2}}
-	if _, _, _, err := s.BestPerNodeCountsFloor(m, bad, TotalGFLOPS, 0); !errors.Is(err, ErrNoAllocation) {
+	if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, bad, 0); !errors.Is(err, ErrNoAllocation) {
 		t.Errorf("invalid app: err = %v, want ErrNoAllocation", err)
 	}
 }

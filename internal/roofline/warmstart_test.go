@@ -8,14 +8,14 @@ import (
 	"repro/internal/machine"
 )
 
-// checkWarmMatchesCold solves (m, apps, obj, floor) cold and
+// checkWarmMatchesCold solves (m, apps, spec, floor) cold and
 // warm-started from prev and demands bit-identical counts and Results
 // (or the same error). This is the contract the fleet scorer's memo
 // relies on: a warm-started solve is indistinguishable from a cold one.
-func checkWarmMatchesCold(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, obj Objective, floor int, prev []int) {
+func checkWarmMatchesCold(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, spec ObjectiveSpec, floor int, prev []int) {
 	t.Helper()
-	coldCounts, _, coldRes, coldErr := s.BestPerNodeCountsFloor(m, apps, obj, floor)
-	warmCounts, _, warmRes, warmErr := s.BestPerNodeCountsFloorFrom(prev, m, apps, obj, floor)
+	coldCounts, _, coldRes, coldErr := s.BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor)
+	warmCounts, _, warmRes, warmErr := s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
 	if (coldErr == nil) != (warmErr == nil) {
 		t.Fatalf("%s: error mismatch: cold %v, warm %v", label, coldErr, warmErr)
 	}
@@ -57,13 +57,13 @@ func TestWarmStartBitIdenticalPaperFixtures(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, floor := range []int{0, 1} {
-			prev, _, _, err := s.BestPerNodeCountsFloor(c.m, c.apps, TotalGFLOPS, floor)
+			prev, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, c.m, c.apps, floor)
 			if err != nil {
 				t.Fatalf("%s/floor=%d: cold solve: %v", c.name, floor, err)
 			}
 			// (a) identical demand set, full-length hint.
 			checkWarmMatchesCold(t, fmt.Sprintf("%s/floor=%d/same", c.name, floor),
-				&s, c.m, c.apps, TotalGFLOPS, floor, prev)
+				&s, c.m, c.apps, ObjTotalGFLOPS, floor, prev)
 			// (b) each app removed, hint with its entry dropped.
 			for drop := range c.apps {
 				rest := make([]App, 0, len(c.apps)-1)
@@ -76,13 +76,13 @@ func TestWarmStartBitIdenticalPaperFixtures(t *testing.T) {
 					hint = append(hint, prev[i])
 				}
 				checkWarmMatchesCold(t, fmt.Sprintf("%s/floor=%d/drop=%d", c.name, floor, drop),
-					&s, c.m, rest, TotalGFLOPS, floor, hint)
+					&s, c.m, rest, ObjTotalGFLOPS, floor, hint)
 			}
 			// (c) a newcomer appended, one-short hint.
 			for _, nc := range newcomers {
 				with := append(append([]App(nil), c.apps...), nc)
 				checkWarmMatchesCold(t, fmt.Sprintf("%s/floor=%d/add=%s", c.name, floor, nc.Name),
-					&s, c.m, with, TotalGFLOPS, floor, prev)
+					&s, c.m, with, ObjTotalGFLOPS, floor, prev)
 			}
 		}
 	}
@@ -99,19 +99,19 @@ func TestWarmStartGarbageHints(t *testing.T) {
 		{},
 		{1},
 		{1, 1},
-		{1, 1, 1, 1, 1, 1},     // too long
-		{0, 0, 0},              // one short but violates floor 1
-		{5, 5, 5, 5},           // over-subscribes the 8-core nodes
-		{-1, 2, 2, 2},          // negative entry
-		{100, 100, 100},        // one short, wildly over budget
-		{8, 0, 0, 0},           // floor-0-shaped full hint under floor 1
+		{1, 1, 1, 1, 1, 1}, // too long
+		{0, 0, 0},          // one short but violates floor 1
+		{5, 5, 5, 5},       // over-subscribes the 8-core nodes
+		{-1, 2, 2, 2},      // negative entry
+		{100, 100, 100},    // one short, wildly over budget
+		{8, 0, 0, 0},       // floor-0-shaped full hint under floor 1
 	}
 	for i, hint := range hints {
-		checkWarmMatchesCold(t, fmt.Sprintf("garbage-hint-%d", i), &s, m, apps, TotalGFLOPS, 1, hint)
-		checkWarmMatchesCold(t, fmt.Sprintf("garbage-hint-%d-floor0", i), &s, m, apps, TotalGFLOPS, 0, hint)
+		checkWarmMatchesCold(t, fmt.Sprintf("garbage-hint-%d", i), &s, m, apps, ObjTotalGFLOPS, 1, hint)
+		checkWarmMatchesCold(t, fmt.Sprintf("garbage-hint-%d-floor0", i), &s, m, apps, ObjTotalGFLOPS, 0, hint)
 	}
 	// Unpruned objective: hints must be inert there too.
-	checkWarmMatchesCold(t, "min-app-objective", &s, m, apps, MinAppGFLOPS, 1, []int{1, 1, 1, 5})
+	checkWarmMatchesCold(t, "min-app-objective", &s, m, apps, ObjMaxMinGFLOPS, 1, []int{1, 1, 1, 5})
 }
 
 // TestWarmStartInfeasible covers the ErrNoAllocation edges with hints
@@ -120,9 +120,9 @@ func TestWarmStartInfeasible(t *testing.T) {
 	var s Search
 	m := machine.PaperModel() // 8 cores per node
 	apps := paperApps()       // floor 3 needs 12 cores per node
-	checkWarmMatchesCold(t, "oversubscribed-floor", &s, m, apps, TotalGFLOPS, 3, []int{2, 2, 2, 2})
+	checkWarmMatchesCold(t, "oversubscribed-floor", &s, m, apps, ObjTotalGFLOPS, 3, []int{2, 2, 2, 2})
 	bad := []App{{Name: "neg", AI: -2}}
-	checkWarmMatchesCold(t, "invalid-app", &s, m, bad, TotalGFLOPS, 0, []int{1})
+	checkWarmMatchesCold(t, "invalid-app", &s, m, bad, ObjTotalGFLOPS, 0, []int{1})
 }
 
 // TestWarmStartRandomized fuzzes the ±1 warm-start equivalence over
@@ -173,7 +173,7 @@ func warmStartRound(t *testing.T, r *rand.Rand) {
 	}
 	floor := r.Intn(3)
 	var s Search
-	prev, _, _, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, floor)
+	prev, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, floor)
 	if err != nil {
 		return // infeasible base (floors over-subscribe); nothing to warm-start
 	}
@@ -184,7 +184,7 @@ func warmStartRound(t *testing.T, r *rand.Rand) {
 		newcomer.HomeNode = machine.NodeID(r.Intn(nNodes))
 	}
 	with := append(append([]App(nil), apps...), newcomer)
-	checkWarmMatchesCold(t, fmt.Sprintf("rand/+1 floor=%d", floor), &s, m, with, TotalGFLOPS, floor, prev)
+	checkWarmMatchesCold(t, fmt.Sprintf("rand/+1 floor=%d", floor), &s, m, with, ObjTotalGFLOPS, floor, prev)
 	// −1: one app dropped, warm-started from the base optimum minus its
 	// entry.
 	drop := r.Intn(nApps)
@@ -198,6 +198,6 @@ func warmStartRound(t *testing.T, r *rand.Rand) {
 		hint = append(hint, prev[i])
 	}
 	if len(rest) > 0 {
-		checkWarmMatchesCold(t, fmt.Sprintf("rand/-1 floor=%d", floor), &s, m, rest, TotalGFLOPS, floor, hint)
+		checkWarmMatchesCold(t, fmt.Sprintf("rand/-1 floor=%d", floor), &s, m, rest, ObjTotalGFLOPS, floor, hint)
 	}
 }
