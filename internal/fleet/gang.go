@@ -241,13 +241,11 @@ func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*
 			continue
 		}
 		p.Inv.noteDeregistered(mv.From, mv.AppID)
-		dst, err := p.Inv.Client(mv.To)
+		resp, err := p.Inv.rehome(ctx, mv, true, p.logf)
 		if err != nil {
-			continue
-		}
-		resp, err := dst.Register(ctx, mv.App.registerRequest())
-		if err != nil {
-			p.logf("fleet: gang %s: re-homing victim %s to %s: %v", g.Name, mv.AppID, mv.To, err)
+			// Restored on its source (or reported lost in err); the gang
+			// proceeds as if this victim had refused the drain.
+			p.logf("fleet: gang %s: victim %s: %v", g.Name, mv.AppID, err)
 			continue
 		}
 		p.Inv.noteRegistered(mv.To, mv.App.placed(resp.ID))

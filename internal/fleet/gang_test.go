@@ -240,3 +240,59 @@ func TestGangPreemptsForHigherClass(t *testing.T) {
 		t.Fatalf("preempted %+v with preemption disabled", res2.Preempted)
 	}
 }
+
+// TestGangVictimRestoredOnFailedRehome: a preemption victim is drained
+// from its source before it registers on its target. When the target is
+// cut off between plan and execute, the victim goes back on its source
+// instead of being registered nowhere.
+func TestGangVictimRestoredOnFailedRehome(t *testing.T) {
+	ctx := context.Background()
+	tiny := func(name string) *machine.Machine { return machine.Uniform(name, 2, 2, 10, 32, 0) }
+	part := faultinject.NewPartition()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(part.Transport(nil)), FailAfter: 2})
+	for _, id := range []string{"a", "b", "c"} {
+		if err := inv.Add(id, newCoopdOn(t, tiny("tiny-"+id)).URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inv.Poll(ctx)
+	batch := []string{"batch-1", "batch-2", "batch-3", "batch-4"}
+	for i, name := range batch {
+		registerWithPriority(t, inv, []string{"a", "a", "b", "b"}[i], memSpec(name))
+	}
+	inv.Poll(ctx)
+	pl := &Placer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+	g := GangSpec{
+		Name: "lat", Replicas: 2, Policy: GangSpread,
+		App: AppSpec{AI: 0.5, TTLMillis: testTTL, Priority: PriorityLatency},
+	}
+	plan, err := pl.planGang(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.victims) == 0 {
+		t.Fatal("no victims planned; every non-empty machine should be at floor capacity")
+	}
+	for _, mv := range plan.victims {
+		m, _ := inv.Member(mv.To)
+		part.Isolate(hostOf(t, m.Endpoints[0]))
+	}
+	res, err := pl.executeGang(ctx, g, plan)
+	if err == nil && len(res.Preempted) > 0 {
+		t.Fatalf("victims %+v re-homed onto a cut-off target", res.Preempted)
+	}
+	part.HealAll()
+	inv.Poll(ctx)
+	seen := map[string]int{}
+	for _, id := range []string{"a", "b", "c"} {
+		m, _ := inv.Member(id)
+		for _, app := range m.Apps {
+			seen[app.Name]++
+		}
+	}
+	for _, name := range batch {
+		if seen[name] != 1 {
+			t.Errorf("%s registered %d times after the failed re-home, want 1 (registry %v)", name, seen[name], seen)
+		}
+	}
+}

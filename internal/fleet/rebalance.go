@@ -807,20 +807,8 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 			}
 			r.Inv.noteDeregistered(mv.From, mv.AppID)
 		}
-		resp, err := r.register(ctx, mv.To, mv.App)
+		resp, err := r.Inv.rehome(ctx, mv, drained, r.logf)
 		if err != nil {
-			err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
-			if drained {
-				// The app is already off its source: put it back there
-				// rather than leave it registered nowhere.
-				back, rerr := r.register(ctx, mv.From, mv.App)
-				if rerr != nil {
-					err = errors.Join(err, fmt.Errorf("fleet: restoring %s on %s: %w", mv.AppID, mv.From, rerr))
-				} else {
-					r.Inv.noteRegistered(mv.From, mv.App.placed(back.ID))
-					r.logf("fleet: move of %s to %s failed; restored on %s as %s", mv.AppID, mv.To, mv.From, back.ID)
-				}
-			}
 			keep(err)
 			continue
 		}
@@ -838,13 +826,35 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 	return firstErr
 }
 
-// register places app on member through the member's coopd client.
-func (r *Rebalancer) register(ctx context.Context, member string, app AppSpec) (*ctrlplane.RegisterResponse, error) {
-	cli, err := r.Inv.Client(member)
-	if err != nil {
+// rehome registers mv's app on mv.To. When drained (the app is already
+// off mv.From) and that fails, it registers the app back on mv.From and
+// records it there rather than leave it registered nowhere; the error
+// then also carries the restore's failure, if any. The Rebalancer's
+// drain-first moves and the gang's preemption victims both go through
+// here.
+func (inv *Inventory) rehome(ctx context.Context, mv Move, drained bool, logf func(string, ...any)) (*ctrlplane.RegisterResponse, error) {
+	register := func(member string) (*ctrlplane.RegisterResponse, error) {
+		cli, err := inv.Client(member)
+		if err != nil {
+			return nil, err
+		}
+		return cli.Register(ctx, mv.App.registerRequest())
+	}
+	resp, err := register(mv.To)
+	if err == nil {
+		return resp, nil
+	}
+	err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
+	if !drained {
 		return nil, err
 	}
-	return cli.Register(ctx, app.registerRequest())
+	back, rerr := register(mv.From)
+	if rerr != nil {
+		return nil, errors.Join(err, fmt.Errorf("fleet: restoring %s on %s: %w", mv.AppID, mv.From, rerr))
+	}
+	inv.noteRegistered(mv.From, mv.App.placed(back.ID))
+	logf("fleet: move of %s to %s failed; restored on %s as %s", mv.AppID, mv.To, mv.From, back.ID)
+	return nil, err
 }
 
 // Round runs one control-loop iteration: poll the fleet, plan, execute.

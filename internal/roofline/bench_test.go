@@ -1,6 +1,7 @@
 package roofline
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -46,6 +47,37 @@ func BenchmarkSolveCold8Apps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var s Search
 		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// denseThirteen is a 13-app resident set dealt from the end-to-end
+// machine-dense alphabet: memory-bound AI 0.5, streaming AI 1/32 and
+// NUMA-bad AI 1/16 apps, interleaved in arrival order rather than
+// grouped by class.
+func denseThirteen() []App {
+	mem := App{AI: 0.5}
+	stream := App{AI: 1.0 / 32}
+	bad := func(home machine.NodeID) App { return App{AI: 1.0 / 16, Placement: NUMABad, HomeNode: home} }
+	apps := []App{mem, stream, bad(0), mem, mem, bad(1), stream, mem, bad(0), mem, stream, bad(2), mem}
+	for i := range apps {
+		apps[i].Name = fmt.Sprintf("dense%d", i)
+	}
+	return apps
+}
+
+// BenchmarkSolveIdentical13Floor0 is the dense solve behind coopd's
+// floor-0 fallback: 13 apps in four interchangeability classes on the
+// paper's 4x8 machine, where the floor-1 solve is infeasible. Without
+// the class reduction it visits up to C(8+13, 13) = 203490 candidates.
+func BenchmarkSolveIdentical13Floor0(b *testing.B) {
+	m := machine.PaperModel()
+	apps := denseThirteen()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s Search
+		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,10 +27,11 @@ import (
 // allocation computes one node and reuses it for the rest.
 //
 // Results are bit-identical to EvaluateOpts: the arithmetic (including
-// operation order) is replicated exactly, and memoized outcomes are
-// copies of previously computed float64 values. The differential tests
-// in evaluator_test.go and the FuzzEvaluatorEquivalence corpus enforce
-// this with exact == comparisons.
+// the canonical summation order of claims and totals) is replicated
+// exactly, and memoized outcomes are copies of previously computed
+// float64 values. The differential tests in evaluator_test.go and the
+// FuzzEvaluatorEquivalence corpus enforce this with exact ==
+// comparisons.
 //
 // An Evaluator is NOT safe for concurrent use; Search hands each worker
 // goroutine its own.
@@ -62,8 +63,8 @@ type Evaluator struct {
 	// Scratch reused across evaluations.
 	keyBuf  []byte
 	perLink []float64
-	rclaims []evalRemoteClaim
-	lclaims []evalLocalClaim
+	rclaims []remoteClaim
+	lclaims []localClaim
 	missOut nodeOutcome
 }
 
@@ -91,19 +92,6 @@ type outcomeEntry struct {
 	app  int32
 	node int32
 	res  AppNodeResult
-}
-
-type evalRemoteClaim struct {
-	app, node int
-	demand    float64
-	granted   float64
-}
-
-type evalLocalClaim struct {
-	app       int
-	threads   int
-	perThread float64
-	granted   float64
 }
 
 // NewEvaluator builds an evaluator for the machine and apps with
@@ -288,15 +276,15 @@ func (e *Evaluator) EvaluateInto(res *Result, al Allocation) error {
 	}
 
 	// Totals in the reference order: per app, nodes in index order, then
-	// the app total folded into the machine total.
+	// the machine total over the app totals in ascending order.
 	for i := 0; i < e.nApps; i++ {
 		for j := 0; j < e.nNodes; j++ {
 			g := res.PerApp[i][j].GFLOPS
 			res.AppGFLOPS[i] += g
 			res.PerNode[j].GFLOPS += g
 		}
-		res.TotalGFLOPS += res.AppGFLOPS[i]
 	}
+	res.TotalGFLOPS = ascendingSum(nil, res.AppGFLOPS)
 	return nil
 }
 
@@ -425,7 +413,6 @@ func (e *Evaluator) computeNode(out *nodeOutcome, h int, al Allocation) {
 
 func (e *Evaluator) serveRemote(h int, avail float64, al Allocation) float64 {
 	claims := e.rclaims[:0]
-	touched := false
 	for _, i := range e.homeApps[h] {
 		row := al.Threads[i]
 		for j := 0; j < e.nNodes; j++ {
@@ -436,11 +423,12 @@ func (e *Evaluator) serveRemote(h int, avail float64, al Allocation) float64 {
 			if th == 0 {
 				continue
 			}
-			d := float64(th) * e.demand[i][j]
-			e.perLink[j] += d
-			touched = true
-			claims = append(claims, evalRemoteClaim{app: int(i), node: j, demand: d})
+			claims = append(claims, remoteClaim{app: int(i), node: j, demand: float64(th) * e.demand[i][j]})
 		}
+	}
+	sortRemoteClaims(claims)
+	for _, c := range claims {
+		e.perLink[c.node] += c.demand
 	}
 	served := 0.0
 	for idx := range claims {
@@ -463,10 +451,8 @@ func (e *Evaluator) serveRemote(h int, avail float64, al Allocation) float64 {
 		}
 		served = avail
 	}
-	if touched {
-		for j := range e.perLink {
-			e.perLink[j] = 0
-		}
+	for _, c := range claims {
+		e.perLink[c.node] = 0
 	}
 	e.rclaims = claims
 	return served
@@ -486,8 +472,9 @@ func (e *Evaluator) serveLocal(h int, avail float64, al Allocation, out *nodeOut
 		if th == 0 {
 			continue
 		}
-		claims = append(claims, evalLocalClaim{app: int(i), threads: th, perThread: e.demand[i][h]})
+		claims = append(claims, localClaim{app: int(i), threads: th, perThread: e.demand[i][h]})
 	}
+	sortLocalClaims(claims)
 	allocated := 0.0
 	for idx := range claims {
 		c := &claims[idx]

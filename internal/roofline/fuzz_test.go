@@ -33,5 +33,9 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// ObjectiveSpec interface vs the naive scan, plus pruned vs
 		// unpruned solves for every bounded objective (admissibility).
 		objectiveRound(t, r)
+		// And the class-reduced search: duplicate-app demand sets, whose
+		// interchangeable apps must score bit-identically when swapped
+		// and whose reduced search must equal the naive scan.
+		symmetryRound(t, r)
 	})
 }

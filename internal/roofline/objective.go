@@ -22,6 +22,13 @@ type BoundFunc func(counts []int, pos, rem int) float64
 // bound-free: the search then falls back to the unpruned enumeration
 // over the memoizing incremental Evaluator, which is exact for any
 // objective.
+//
+// An objective must be invariant under permuting interchangeable apps
+// (equal AI, placement, home node when NUMA-bad, and effective weight):
+// swapping two such apps' counts must leave its value bit-identical,
+// because the search enumerates only one member of each such orbit.
+// All three built-ins satisfy this, as does any wrapper that returns a
+// built-in's values unchanged.
 type ObjectiveSpec interface {
 	Name() string
 	Objective(apps []App) Objective
@@ -131,12 +138,15 @@ type greedyBound struct {
 
 func newGreedyBound(m *machine.Machine, apps []App, weights []float64) *greedyBound {
 	nApps := len(apps)
+	// One backing array for the four float slices: the bound is built
+	// once per solve, so its allocations count against every solve.
+	f := make([]float64, 4*nApps+2)
 	b := &greedyBound{
-		dens:       make([]float64, nApps),
-		capPer:     make([]float64, nApps),
+		dens:       f[:nApps:nApps],
+		capPer:     f[nApps : 2*nApps : 2*nApps],
+		sufDens:    f[2*nApps : 3*nApps+1 : 3*nApps+1],
+		sufCapPer:  f[3*nApps+1:],
 		byDensDesc: make([]int, nApps),
-		sufDens:    make([]float64, nApps+1),
-		sufCapPer:  make([]float64, nApps+1),
 	}
 	sumPeak := 0.0
 	for _, n := range m.Nodes {

@@ -26,18 +26,11 @@ func MinAppGFLOPS(r *Result) float64 {
 
 // WeightedAppGFLOPS returns an objective computing a weighted sum of
 // per-application rates, e.g. to prioritize a latency-critical app.
+// Apps past the end of weights weigh 1. The w·g terms are added in
+// ascending order, so apps with equal weights are interchangeable bit
+// for bit.
 func WeightedAppGFLOPS(weights []float64) Objective {
-	return func(r *Result) float64 {
-		s := 0.0
-		for i, g := range r.AppGFLOPS {
-			w := 1.0
-			if i < len(weights) {
-				w = weights[i]
-			}
-			s += w * g
-		}
-		return s
-	}
+	return func(r *Result) float64 { return ascendingSum(weights, r.AppGFLOPS) }
 }
 
 // Optimize searches for the allocation maximizing obj, starting from a

@@ -217,7 +217,8 @@ type Result struct {
 	PerNode []NodeResult
 	// AppGFLOPS[i] is app i's machine-wide total.
 	AppGFLOPS []float64
-	// TotalGFLOPS is the machine-wide total.
+	// TotalGFLOPS is the machine-wide total, summed over AppGFLOPS in
+	// ascending order.
 	TotalGFLOPS float64
 }
 
@@ -274,11 +275,11 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 	// requesting link) and local accessors (NUMA-perfect threads on h
 	// plus NUMA-bad threads on their home node). The paper's rule is
 	// remote first; opt.LocalFirst inverts the order for ablation.
-	type remoteClaim struct {
-		app, node int // app index, node its threads run on
-		demand    float64
-		granted   float64
-	}
+	// The bandwidth sums and TotalGFLOPS run in a canonical order (see
+	// sortLocalClaims, sortRemoteClaims, ascendingSum), so permuting
+	// interchangeable apps permutes the per-app results and leaves the
+	// node accounting and TotalGFLOPS bit-identical. PerNode GFLOPS, a
+	// report no objective reads, is still summed in app order.
 	remoteClaims := make([][]remoteClaim, nNodes) // indexed by memory node
 
 	// serveRemote grants remote demand against avail bandwidth and
@@ -299,9 +300,12 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 					continue
 				}
 				d := float64(th) * a.demandPerThread(m.Nodes[j].PeakGFLOPS)
-				perLink[j] += d
 				claims = append(claims, remoteClaim{app: i, node: j, demand: d})
 			}
+		}
+		sortRemoteClaims(claims)
+		for _, c := range claims {
+			perLink[c.node] += c.demand
 		}
 		// Cap per link, splitting a saturated link proportionally to
 		// demand across the apps sharing it.
@@ -342,12 +346,6 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 		}
 		res.PerNode[h].Baseline = baseline
 
-		type localClaim struct {
-			app       int
-			threads   int
-			perThread float64 // demand per thread
-			granted   float64 // granted per thread
-		}
 		var claims []localClaim
 		for i, a := range apps {
 			th := al.Threads[i][h]
@@ -363,6 +361,7 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 				perThread: a.demandPerThread(m.Nodes[h].PeakGFLOPS),
 			})
 		}
+		sortLocalClaims(claims)
 		allocated := 0.0
 		for idx := range claims {
 			c := &claims[idx]
@@ -445,9 +444,84 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 			res.AppGFLOPS[i] += g
 			res.PerNode[j].GFLOPS += g
 		}
-		res.TotalGFLOPS += res.AppGFLOPS[i]
 	}
+	res.TotalGFLOPS = ascendingSum(nil, res.AppGFLOPS)
 	return res, nil
+}
+
+// localClaim is one app's threads on a node served by that node's
+// local bandwidth split; granted is per thread.
+type localClaim struct {
+	app       int
+	threads   int
+	perThread float64 // demand per thread
+	granted   float64 // granted per thread
+}
+
+// remoteClaim is one NUMA-bad app's threads on node, served remotely by
+// the app's home node; demand and granted are totals over the threads.
+type remoteClaim struct {
+	app, node int
+	demand    float64
+	granted   float64
+}
+
+// sortLocalClaims orders claims by (per-thread demand, threads): the
+// canonical order of a node's baseline, residual and served sums. Every
+// term of those sums is a function of the key, so the sums depend only
+// on the multiset of claims, not on app order. Insertion sort keeps the
+// model free of per-call allocation; a node holds a handful of claims.
+func sortLocalClaims(c []localClaim) {
+	for a := 1; a < len(c); a++ {
+		x := c[a]
+		b := a
+		for ; b > 0 && (c[b-1].perThread > x.perThread ||
+			c[b-1].perThread == x.perThread && c[b-1].threads > x.threads); b-- {
+			c[b] = c[b-1]
+		}
+		c[b] = x
+	}
+}
+
+// sortRemoteClaims orders claims by (requesting node, demand): the
+// canonical order of the per-link demand and served sums.
+func sortRemoteClaims(c []remoteClaim) {
+	for a := 1; a < len(c); a++ {
+		x := c[a]
+		b := a
+		for ; b > 0 && (c[b-1].node > x.node ||
+			c[b-1].node == x.node && c[b-1].demand > x.demand); b-- {
+			c[b] = c[b-1]
+		}
+		c[b] = x
+	}
+}
+
+// ascendingSum returns Σ wᵢ·gᵢ over g, with wᵢ = 1 past the end of w,
+// adding the terms in ascending order so the sum depends only on the
+// multiset of terms: permuting interchangeable apps cannot move it by
+// an ulp. The terms are insertion-sorted in a stack buffer, so up to 32
+// terms cost no allocation; objectives call this at every leaf, from
+// parallel workers.
+func ascendingSum(w, g []float64) float64 {
+	var buf [32]float64
+	t := buf[:0]
+	for i, x := range g {
+		if i < len(w) {
+			x *= w[i]
+		}
+		t = append(t, x)
+		j := i
+		for ; j > 0 && t[j-1] > x; j-- {
+			t[j] = t[j-1]
+		}
+		t[j] = x
+	}
+	sum := 0.0
+	for _, x := range t {
+		sum += x
+	}
+	return sum
 }
 
 // MustEvaluate is Evaluate but panics on error; for tests and examples

@@ -69,6 +69,10 @@ type bnbCtx struct {
 	// Evaluator.
 	bound BoundFunc
 	prune bool
+	// prevSame[i] is the last position before i holding an app
+	// interchangeable with app i, or -1 (see interchangeable). The
+	// enumeration keeps each class's counts non-decreasing.
+	prevSame []int
 
 	best atomic.Uint64 // Float64bits of the best score seen so far
 	next atomic.Int64  // branch work-stealing cursor
@@ -137,7 +141,11 @@ func (w *bnbWorker) rec(pos, remaining int) {
 			return
 		}
 	}
-	for cnt := c.floor; cnt <= remaining; cnt++ {
+	start := c.floor
+	if p := c.prevSame[pos]; p >= 0 && w.counts[p] > start {
+		start = w.counts[p] // class members take non-decreasing counts
+	}
+	for cnt := start; cnt <= remaining; cnt++ {
 		w.setRow(pos, cnt)
 		w.rec(pos+1, remaining-cnt)
 	}
@@ -164,6 +172,16 @@ type branchResult struct {
 // returns ErrNoAllocation when the floors alone over-subscribe a node
 // (more apps than cores) or no candidate evaluates.
 //
+// Interchangeable apps (see interchangeable) are enumerated once per
+// orbit: each class's counts only in non-decreasing order, whether or
+// not the class members sit next to each other. This cannot change the
+// answer. The exhaustive scan returns the lexicographically smallest
+// optimum, and because swapping two interchangeable apps' counts leaves
+// the score bit-identical (the model sums canonically and spec's
+// objective is permutation-invariant, see ObjectiveSpec), that optimum
+// is the sorted member of its own orbit, which the reduced enumeration
+// visits first among the optima.
+//
 // prev warm-starts the solve from a previous optimum: the counts
 // vector of a related solve — the same apps (len(prev) == len(apps)),
 // or the demand set minus its last app (len(prev) == len(apps)-1, the
@@ -175,7 +193,8 @@ type branchResult struct {
 //
 // Warm-starting cannot change the answer: every seed is an ordinary
 // feasible candidate, so the incumbent is only raised to objective
-// values the enumeration itself attains, and the pruning margin
+// values the enumeration itself attains (an unsorted seed's value is
+// attained bit for bit by its sorted permutation), and the pruning margin
 // (boundSlack) already keeps equal-scoring subtrees alive. Counts,
 // allocation, and Result are bit-identical to the cold solve —
 // warmstart_test.go and the FuzzEvaluatorEquivalence corpus prove it
@@ -209,12 +228,14 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		return nil, Allocation{}, nil, ErrNoAllocation
 	}
 
+	prevSame := appClasses(apps)
 	ctx := &bnbCtx{
-		nApps:  nApps,
-		nNodes: m.NumNodes(),
-		floor:  floor,
-		obj:    obj,
-		bound:  spec.Bound(m, apps),
+		nApps:    nApps,
+		nNodes:   m.NumNodes(),
+		floor:    floor,
+		obj:      obj,
+		bound:    spec.Bound(m, apps),
+		prevSame: prevSame,
 	}
 	ctx.prune = ctx.bound != nil
 	ctx.best.Store(math.Float64bits(math.Inf(-1)))
@@ -230,7 +251,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	if workers > nBranches {
 		workers = nBranches
 	}
-	if estimateLeaves(capCores-floor*nApps, nApps) <= seqLeafThreshold {
+	if classLeaves(capCores-floor*nApps, prevSame) <= seqLeafThreshold {
 		workers = 1
 	}
 
@@ -411,19 +432,63 @@ func (s *Search) seedIncumbent(ctx *bnbCtx, m *machine.Machine, apps []App, prev
 	}
 }
 
-// estimateLeaves returns the number of candidates: compositions of at
-// most budget extra cores over n apps, C(budget+n, n), saturating well
-// above the sequential threshold.
-func estimateLeaves(budget, n int) int64 {
+// interchangeable reports whether apps a and b are interchangeable:
+// equal AI, placement, home node (when NUMA-bad) and effective weight.
+// Name is ignored. Swapping the counts of two interchangeable apps
+// permutes the model's per-app results and leaves TotalGFLOPS and every
+// built-in objective bit-identical, because the model sums in a
+// canonical order (see EvaluateOpts).
+func interchangeable(a, b App) bool {
+	return a.AI == b.AI && a.Placement == b.Placement &&
+		(a.Placement != NUMABad || a.HomeNode == b.HomeNode) &&
+		appWeight(a) == appWeight(b)
+}
+
+// appClasses returns prevSame: prevSame[i] is the last position
+// before i holding an app interchangeable with app i, or -1. Class
+// members need not be adjacent (the fleet scorer appends a newcomer
+// last).
+func appClasses(apps []App) []int {
+	prevSame := make([]int, len(apps))
+	for i := range apps {
+		prevSame[i] = -1
+		for k := i - 1; k >= 0; k-- {
+			if interchangeable(apps[k], apps[i]) {
+				prevSame[i] = k
+				break
+			}
+		}
+	}
+	return prevSame
+}
+
+// classLeaves returns the number of candidates the class-reduced
+// enumeration visits: count vectors spending at most budget extra
+// cores, non-decreasing within each class, saturating well above the
+// sequential threshold. A class of k apps spending s extra cores is a
+// partition of s into parts no larger than k, so each class member of
+// rank r (1 for the first, r for the r-th) contributes an unbounded
+// part of size r: one knapsack pass per app. With every class a
+// singleton it is C(budget+n, n).
+func classLeaves(budget int, prevSame []int) int64 {
 	if budget < 0 {
 		return 0
 	}
-	v := int64(1)
-	for i := 1; i <= n; i++ {
-		v = v * int64(budget+i) / int64(i)
-		if v > 1<<40 {
-			return 1 << 40
+	const ceiling = 1 << 40
+	ways := make([]int64, budget+1) // ways[s]: vectors spending exactly s
+	ways[0] = 1
+	for i := range prevSame {
+		rank := 1
+		for k := prevSame[i]; k >= 0; k = prevSame[k] {
+			rank++
+		}
+		for s := rank; s <= budget; s++ {
+			ways[s] = min(ways[s]+ways[s-rank], ceiling)
 		}
 	}
-	return v
+	total := int64(0)
+	for _, w := range ways {
+		total = min(total+w, ceiling)
+	}
+	return total
 }
