@@ -83,6 +83,25 @@ func BenchmarkSolveIdentical13Floor0(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveIdentical13Floor0Weighted is the same dense solve
+// under the weighted-priority objective with two apps raised to the
+// fleet's priority weights, 16 and 4: the shape of the preemption
+// solves behind fleetsim's priority_inversion trace and the
+// fleet-failover benchmark. The weights split two classes, so the
+// reduced space is larger than the unweighted one.
+func BenchmarkSolveIdentical13Floor0Weighted(b *testing.B) {
+	m := machine.PaperModel()
+	apps := denseThirteen()
+	apps[0].Weight, apps[1].Weight = 16, 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s Search
+		if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjWeightedPriority, nil, m, apps, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveWarmStart8Apps is the incremental path the fleet
 // scorer rides: the 8th app arrives on a machine whose 7-app optimum
 // is known, and the solve is warm-started from those counts. Compare

@@ -37,5 +37,9 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// interchangeable apps must score bit-identically when swapped
 		// and whose reduced search must equal the naive scan.
 		symmetryRound(t, r)
+		// And the pointwise bound check: at every prefix of every
+		// candidate, each built-in spec's bound is no smaller than the
+		// best completion's objective.
+		boundRound(t, r)
 	})
 }

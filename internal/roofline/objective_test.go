@@ -123,8 +123,8 @@ func TestWeightedBoundAdmissiblePaperFixtures(t *testing.T) {
 	}
 }
 
-// TestMaxMinSpecMatchesLegacyObjective: the bound-free max-min spec
-// must land exactly where the naive scan under the bare MinAppGFLOPS
+// TestMaxMinSpecMatchesLegacyObjective: the pruned max-min spec must
+// land exactly where the naive scan under the bare MinAppGFLOPS
 // objective does.
 func TestMaxMinSpecMatchesLegacyObjective(t *testing.T) {
 	var s Search

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -150,21 +149,6 @@ func TestInterchangeableAppsSymmetry(t *testing.T) {
 	}
 }
 
-// countingLeaves wraps a spec and counts objective evaluations, which
-// the search makes once per leaf it does not prune.
-type countingLeaves struct {
-	ObjectiveSpec
-	leaves atomic.Int64
-}
-
-func (c *countingLeaves) Objective(apps []App) Objective {
-	obj := c.ObjectiveSpec.Objective(apps)
-	return func(r *Result) float64 {
-		c.leaves.Add(1)
-		return obj(r)
-	}
-}
-
 // estimateLeaves is the closed-form size of the unreduced space:
 // compositions of at most budget extra cores over n apps,
 // C(budget+n, n), saturating at 2^40 like classLeaves. It is the
@@ -185,9 +169,10 @@ func estimateLeaves(budget, n int) int64 {
 }
 
 // TestClassReducedLeafCount pins the reduced enumeration's size: a
-// bound-free solve evaluates exactly classLeaves candidates, with the
-// class members scattered rather than adjacent, and classLeaves agrees
-// with the closed form when every class is a singleton.
+// bound-free solve (max-min with its bound stripped) evaluates exactly
+// classLeaves candidates, with the class members scattered rather than
+// adjacent, and classLeaves agrees with the closed form when every
+// class is a singleton.
 func TestClassReducedLeafCount(t *testing.T) {
 	m := machine.Uniform("wide", 4, 12, 10, 32, 0)
 	mem := App{AI: 0.5}
@@ -203,7 +188,7 @@ func TestClassReducedLeafCount(t *testing.T) {
 		t.Fatalf("prevSame = %v, want %v", prevSame, want)
 	}
 	for _, floor := range []int{0, 1} {
-		spec := &countingLeaves{ObjectiveSpec: ObjMaxMinGFLOPS}
+		spec := &countingSpec{ObjectiveSpec: strippedSpec{ObjMaxMinGFLOPS}}
 		s := Search{Parallelism: 1}
 		if _, _, _, err := s.BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor); err != nil {
 			t.Fatal(err)
